@@ -22,9 +22,9 @@ object BuildProfileJob {
     try {
       val spec = Datasets.byName(name)
       val space = new CountingSpace(spec.space(spark, scale))
-      val runner =
-        if (useLocal) new LocalRunner(16)
-        else new SparkRunner(spark, spark.sparkContext.defaultParallelism)
+      // same chunk count in both modes, so both build the same graphs
+      val parts = spark.sparkContext.defaultParallelism
+      val runner = if (useLocal) new LocalRunner(parts) else new SparkRunner(spark, parts)
       println(s"dataset=$name n=${space.n} K=${spec.graphK} runner=${if (useLocal) "local" else "spark"}")
 
       def prof(label: String)(body: => Any): Unit = {

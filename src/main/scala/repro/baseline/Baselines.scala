@@ -1,7 +1,7 @@
 package repro.baseline
 
-import org.apache.spark.sql.{Encoders, SparkSession}
-import repro.core.{BruteForce, MetricSpace, VPTree}
+import org.apache.spark.sql.SparkSession
+import repro.core.{BruteForce, MetricSpace, SparkRunner, VPTree}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -9,27 +9,17 @@ import scala.util.Random
 final case class BaselineResult(outliers: Array[Int], totalMs: Long, indexBytes: Long)
 
 /** Nested-loop DOD [Knorr & Ng, VLDB'98]: for each object scan P, stopping
-  * when the neighbor count reaches `k`. Parallelized across Spark partitions
-  * (the paper runs all algorithms multi-threaded).
+  * when the neighbor count reaches `k`. Parallelized through [[SparkRunner]]
+  * (the paper runs all algorithms multi-threaded). Each baseline fans out
+  * ascending ids and the runner returns chunks in order, so outliers come
+  * back sorted.
   */
 object NestedLoop {
   def run(spark: SparkSession, space: MetricSpace, r: Double, k: Int, partitions: Int = 0): BaselineResult = {
     val t0 = System.nanoTime()
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bSpace = spark.sparkContext.broadcast(space)
-    val out = spark
-      .range(space.n)
-      .repartition(parts)
-      .mapPartitions { it =>
-        val sp = bSpace.value
-        it.flatMap { id =>
-          val p = id.toInt
-          if (BruteForce.countNeighbors(sp, p, r, k) < k) Iterator.single(p) else Iterator.empty
-        }
-      }(Encoders.scalaInt)
-      .collect()
-      .sorted
-    bSpace.destroy()
+    val out = SparkRunner(spark, partitions).runWithData(space.n, space) { (sp, s, e) =>
+      (s until e).filter(p => BruteForce.countNeighbors(sp, p, r, k) < k).toArray
+    }.flatten.toArray
     BaselineResult(out, (System.nanoTime() - t0) / 1000000L, 0L)
   }
 }
@@ -81,36 +71,27 @@ object SNIF {
 
     // parallel counting for objects in small clusters
     val pending = (0 until n).filter(p => memberArr(clusterOf(p)).length <= k).toArray
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bData = spark.sparkContext.broadcast((space, centerArr, memberArr, clusterOf))
-    val out: Array[Int] =
-      if (pending.isEmpty) Array.empty[Int]
-      else
-        spark
-          .createDataset(pending.toSeq)(Encoders.scalaInt)
-          .repartition(parts)
-          .mapPartitions { it =>
-            val (sp, cts, mem, cOf) = bData.value
-            it.flatMap { p =>
-              var count = mem(cOf(p)).length - 1 // co-members are neighbors
-              var c = 0
-              while (count < k && c < cts.length) {
-                if (c != cOf(p) && sp.dist(p, cts(c)) <= 1.5 * r) {
-                  val ms = mem(c)
-                  var i = 0
-                  while (count < k && i < ms.length) {
-                    if (sp.dist(p, ms(i)) <= r) count += 1
-                    i += 1
-                  }
+    val out = SparkRunner(spark, partitions)
+      .runWithData(pending.length, (space, centerArr, memberArr, clusterOf, pending)) {
+        case ((sp, cts, mem, cOf, pend), s, e) =>
+          pend.slice(s, e).filter { p =>
+            var count = mem(cOf(p)).length - 1 // co-members are neighbors
+            var c = 0
+            while (count < k && c < cts.length) {
+              if (c != cOf(p) && sp.dist(p, cts(c)) <= 1.5 * r) {
+                val ms = mem(c)
+                var i = 0
+                while (count < k && i < ms.length) {
+                  if (sp.dist(p, ms(i)) <= r) count += 1
+                  i += 1
                 }
-                c += 1
               }
-              if (count < k) Iterator.single(p) else Iterator.empty
+              c += 1
             }
-          }(Encoders.scalaInt)
-          .collect()
-    bData.destroy()
-    BaselineResult(out.sorted, (System.nanoTime() - t0) / 1000000L, indexBytes)
+            count < k
+          }
+      }.flatten.toArray
+    BaselineResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
   }
 }
 
@@ -159,24 +140,10 @@ object Dolphin {
     val indexBytes = indexIds.length * 8L
 
     val candidates = indexIds.filter(q => counts(q) < k).toArray
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bSpace = spark.sparkContext.broadcast(space)
-    val out: Array[Int] =
-      if (candidates.isEmpty) Array.empty[Int]
-      else
-        spark
-          .createDataset(candidates.toSeq)(Encoders.scalaInt)
-          .repartition(parts)
-          .mapPartitions { it =>
-            val sp = bSpace.value
-            it.flatMap { q =>
-              if (BruteForce.countNeighbors(sp, q, r, k) < k) Iterator.single(q)
-              else Iterator.empty
-            }
-          }(Encoders.scalaInt)
-          .collect()
-    bSpace.destroy()
-    BaselineResult(out.sorted, (System.nanoTime() - t0) / 1000000L, indexBytes)
+    val out = SparkRunner(spark, partitions).runWithData(candidates.length, (space, candidates)) {
+      case ((sp, cands), s, e) => cands.slice(s, e).filter(q => BruteForce.countNeighbors(sp, q, r, k) < k)
+    }.flatten.toArray
+    BaselineResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
   }
 }
 
@@ -193,21 +160,9 @@ object VPTreeDOD {
       partitions: Int = 0,
   ): BaselineResult = {
     val t0 = System.nanoTime()
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bData = spark.sparkContext.broadcast((space, tree))
-    val out = spark
-      .range(space.n)
-      .repartition(parts)
-      .mapPartitions { it =>
-        val (sp, tr) = bData.value
-        it.flatMap { id =>
-          val p = id.toInt
-          if (tr.rangeCount(sp, p, r, k) < k) Iterator.single(p) else Iterator.empty
-        }
-      }(Encoders.scalaInt)
-      .collect()
-      .sorted
-    bData.destroy()
+    val out = SparkRunner(spark, partitions).runWithData(space.n, (space, tree)) {
+      case ((sp, tr), s, e) => (s until e).filter(p => tr.rangeCount(sp, p, r, k) < k).toArray
+    }.flatten.toArray
     BaselineResult(out, (System.nanoTime() - t0) / 1000000L, tree.sizeBytes)
   }
 }

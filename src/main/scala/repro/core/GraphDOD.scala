@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.ProximityGraph
 
 /** Exact neighbor counting for the verification phase (`Exact-Counting` in
@@ -79,51 +79,10 @@ object GraphDOD {
     }
   }
 
-  /** Driver-local run (no Spark) — used by property tests and as the
-    * reference the Spark run must match.
-    */
-  def detectLocal(
-      space: MetricSpace,
-      g: ProximityGraph,
-      r: Double,
-      k: Int,
-      usePivotHop: Boolean = true,
-      useExactShortcut: Boolean = true,
-      counter: ExactCounter = LinearScanCounter(),
-  ): DODResult = {
-    val n = space.n
-    val t0 = System.nanoTime()
-    val verdicts = new Array[Byte](n)
-    var p = 0
-    while (p < n) {
-      verdicts(p) = filterVerdict(space, g, p, r, k, usePivotHop, useExactShortcut)
-      p += 1
-    }
-    val t1 = System.nanoTime()
-    val out = Array.newBuilder[Int]
-    var candidates = 0
-    var direct = 0
-    var fp = 0
-    p = 0
-    while (p < n) {
-      verdicts(p) match {
-        case Candidate =>
-          candidates += 1
-          if (counter.count(space, p, r, k) < k) out += p else fp += 1
-        case DirectOutlier => direct += 1; out += p
-        case _ => ()
-      }
-      p += 1
-    }
-    val t2 = System.nanoTime()
-    DODResult(out.result().sorted, candidates, fp, direct,
-      (t1 - t0) / 1000000L, (t2 - t1) / 1000000L)
-  }
-
-  /** Spark run: the paper's multi-threading (§4) with partitions as threads.
-    * Space, graph and counter are broadcast; both phases fan the object ids
-    * out via `Dataset.mapPartitions` with random partitioning for load
-    * balance, exactly as the paper assigns objects to threads.
+  /** Algorithm 1 with the paper's multi-threading (§4): each phase is one
+    * [[SparkRunner]] fan-out over contiguous id chunks — filtering over
+    * `[0, n)`, then verification over the candidates. `partitions = 1` runs
+    * both phases inline on the driver; `0` uses Spark's default parallelism.
     */
   def detect(
       spark: SparkSession,
@@ -136,50 +95,37 @@ object GraphDOD {
       counter: ExactCounter = LinearScanCounter(),
       partitions: Int = 0,
   ): DODResult = {
-    val n = space.n
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bSpace = spark.sparkContext.broadcast(space)
-    val bGraph = spark.sparkContext.broadcast(g)
-    val bCounter = spark.sparkContext.broadcast(counter)
-    import spark.implicits._
+    val runner = SparkRunner(spark, partitions)
 
     val t0 = System.nanoTime()
-    val verdictDs = spark
-      .range(n)
-      .repartition(parts) // random assignment of objects to "threads"
-      .mapPartitions { it =>
-        val sp = bSpace.value
-        val gg = bGraph.value
-        it.map { id =>
-          val p = id.toInt
-          (p, filterVerdict(sp, gg, p, r, k, usePivotHop, useExactShortcut))
+    // per chunk: (direct outliers, candidates)
+    val filtered = runner.runWithData(space.n, (space, g)) { case ((sp, gg), s, e) =>
+      val direct = Array.newBuilder[Int]
+      val cand = Array.newBuilder[Int]
+      var p = s
+      while (p < e) {
+        filterVerdict(sp, gg, p, r, k, usePivotHop, useExactShortcut) match {
+          case Candidate => cand += p
+          case DirectOutlier => direct += p
+          case _ => ()
         }
-      }(Encoders.product[(Int, Byte)])
-    val verdicts = verdictDs.collect()
+        p += 1
+      }
+      (direct.result(), cand.result())
+    }
+    val directOut = filtered.flatMap(_._1).toArray
+    val candidateIds = filtered.flatMap(_._2).toArray
     val t1 = System.nanoTime()
 
-    val candidateIds = verdicts.collect { case (p, Candidate) => p }
-    val directOut = verdicts.collect { case (p, DirectOutlier) => p }
-    val verified =
-      if (candidateIds.isEmpty) Array.empty[(Int, Boolean)]
-      else
-        spark
-          .createDataset(candidateIds.toSeq)
-          .repartition(parts)
-          .mapPartitions { it =>
-            val sp = bSpace.value
-            val ec = bCounter.value
-            it.map(p => (p, ec.count(sp, p, r, k) < k))
-          }(Encoders.product[(Int, Boolean)])
-          .collect()
+    val verified = runner.runWithData(candidateIds.length, (space, counter, candidateIds)) {
+      case ((sp, ec, ids), s, e) => ids.slice(s, e).filter(p => ec.count(sp, p, r, k) < k)
+    }.flatten
     val t2 = System.nanoTime()
-    bSpace.destroy(); bGraph.destroy(); bCounter.destroy()
 
-    val outliers = (directOut ++ verified.collect { case (p, true) => p }).sorted
     DODResult(
-      outliers,
+      (directOut ++ verified).sorted,
       candidates = candidateIds.length,
-      falsePositives = verified.count(!_._2),
+      falsePositives = candidateIds.length - verified.length,
       directOutliers = directOut.length,
       filterMs = (t1 - t0) / 1000000L,
       verifyMs = (t2 - t1) / 1000000L,

@@ -23,7 +23,6 @@ final case class NNDescentConfig(
     rho: Double = 0.5,
     maxIters: Int = 10,
     delta: Double = 0.002,
-    parts: Int = 16,
     seed: Long = 42L,
 )
 
@@ -58,17 +57,20 @@ final class NNList(val cap: Int) extends Serializable {
     false
   }
 
-  /** Sorted insert; rejects duplicates and non-improving distances. */
-  def insert(id: Int, d: Double): Boolean = {
-    if (size == cap && d >= ds(size - 1)) return false
-    if (contains(id)) return false
+  /** Sorted insert; rejects duplicates and non-improving distances.
+    * Returns the slot written, or -1 if rejected; entries from that slot on
+    * moved up by one (the last one dropped when the list was full).
+    */
+  def insert(id: Int, d: Double): Int = {
+    if (size == cap && d >= ds(size - 1)) return -1
+    if (contains(id)) return -1
     var pos = size
     if (size == cap) pos = size - 1 else size += 1
     while (pos > 0 && ds(pos - 1) > d) {
       ids(pos) = ids(pos - 1); ds(pos) = ds(pos - 1); pos -= 1
     }
     ids(pos) = id; ds(pos) = d
-    true
+    pos
   }
 }
 
@@ -81,16 +83,10 @@ object NNDescent {
 
     /** Insert keeping the flag array aligned with the sorted list. */
     def insert(id: Int, d: Double): Boolean = {
-      if (list.size == list.cap && d >= list.ds(list.size - 1)) return false
-      if (list.contains(id)) return false
-      var pos = list.size
-      if (list.size == list.cap) pos = list.size - 1 else list.size += 1
-      while (pos > 0 && list.ds(pos - 1) > d) {
-        list.ids(pos) = list.ids(pos - 1); list.ds(pos) = list.ds(pos - 1)
-        isNew(pos) = isNew(pos - 1)
-        pos -= 1
-      }
-      list.ids(pos) = id; list.ds(pos) = d; isNew(pos) = true
+      val pos = list.insert(id, d)
+      if (pos < 0) return false
+      System.arraycopy(isNew, pos, isNew, pos + 1, list.size - 1 - pos)
+      isNew(pos) = true
       true
     }
   }
@@ -293,7 +289,7 @@ object NNDescent {
 
   /** Pure per-chunk local join: evaluates new×new and new×old pairs of each
     * vertex's join lists, accumulating improving candidates into bounded
-    * per-target lists. Runs inside `mapPartitions` under the SparkRunner.
+    * per-target lists. Runs as one chunk of a `ParRunner` fan-out.
     */
   private def localJoinChunk(
       data: (MetricSpace, Array[Array[Int]], Array[Array[Int]], Array[Double], Int),

@@ -20,7 +20,7 @@ import scala.collection.mutable
   * while distance counts expose the algorithmic cost the paper analyzes.
   */
 final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Double) {
-  val runner = new SparkRunner(spark, parts = spark.sparkContext.defaultParallelism)
+  val runner = SparkRunner(spark)
 
   private def timed[T](body: => T): (T, Long) = {
     val t0 = System.nanoTime()
@@ -166,7 +166,7 @@ object BenchContext {
   private def warmup(spark: SparkSession): Unit =
     if (!warmed) {
       warmed = true
-      val runner = new SparkRunner(spark, spark.sparkContext.defaultParallelism)
+      val runner = SparkRunner(spark)
       for (spec <- Seq(Datasets.sift, Datasets.words)) {
         val space = spec.space(spark, 0.08)
         NSW.build(space, 6, seed = 1)

@@ -34,7 +34,7 @@ class CountingSpaceSpec extends SparkSpec {
     val (g, _) = repro.graph.MRPG.build(base, 8, runner, seed = 3, maxIters = 4)
 
     val csGraph = new CountingSpace(base)
-    val gr = GraphDOD.detectLocal(csGraph, g, 9.0, 10)
+    val gr = GraphDOD.detect(spark, csGraph, g, 9.0, 10, partitions = 1)
     val csNested = new CountingSpace(base)
     val truth = BruteForce.outliers(csNested, 9.0, 10)
 
@@ -44,17 +44,12 @@ class CountingSpaceSpec extends SparkSpec {
   }
 }
 
-/** Minimal Spark fan-out used to verify shared-adder behavior in local mode. */
+/** Nested loop with cap 1 through the Spark fan-out, to verify shared-adder
+  * behavior in local mode.
+  */
 private object NestedLoopProbe {
-  def run(spark: org.apache.spark.sql.SparkSession, cs: CountingSpace): Unit = {
-    val bc = spark.sparkContext.broadcast(cs)
-    spark.range(cs.n)
-      .repartition(4)
-      .mapPartitions { it =>
-        val sp = bc.value
-        it.map(id => BruteForce.countNeighbors(sp, id.toInt, 1e18, 1))
-      }(org.apache.spark.sql.Encoders.scalaInt)
-      .collect()
-    bc.destroy()
-  }
+  def run(spark: org.apache.spark.sql.SparkSession, cs: CountingSpace): Unit =
+    new SparkRunner(spark, 4).runWithData(cs.n, cs) { (sp, s, e) =>
+      (s until e).map(p => BruteForce.countNeighbors(sp, p, 1e18, 1)).sum
+    }
 }

@@ -7,7 +7,8 @@ import scala.util.Random
 
 /** Algorithm 1 end-to-end: exactness for every proximity graph on every
   * scenario and several (r, k) settings, plus accounting invariants and
-  * local/Spark-run equivalence.
+  * equivalence of the inline run (`partitions = 1`) and the Spark fan-out.
+  * The scenario tests run inline.
   */
 class GraphDODSpec extends SparkSpec {
 
@@ -38,7 +39,7 @@ class GraphDODSpec extends SparkSpec {
   for (s <- TestSpaces.scenarios(); gc <- graphCases) {
     test(s"${s.name}/${gc.name}: detectLocal is exact at the default (r, k)") {
       val g = graphFor(s, gc)
-      val res = GraphDOD.detectLocal(s.space, g, s.r, s.k, gc.pivotHop, gc.shortcut)
+      val res = GraphDOD.detect(spark, s.space, g, s.r, s.k, gc.pivotHop, gc.shortcut, partitions = 1)
       val truth = BruteForce.outliers(s.space, s.r, s.k)
       assert(truth.nonEmpty, "scenario must contain outliers")
       assert(truth.length < s.space.n, "scenario must contain inliers")
@@ -49,7 +50,7 @@ class GraphDODSpec extends SparkSpec {
       val g = graphFor(s, gc)
       for ((rf, k2) <- Seq((0.6, 3), (1.4, s.k), (1.0, 2 * s.k))) {
         val r2 = s.r * rf
-        val res = GraphDOD.detectLocal(s.space, g, r2, k2, gc.pivotHop, gc.shortcut)
+        val res = GraphDOD.detect(spark, s.space, g, r2, k2, gc.pivotHop, gc.shortcut, partitions = 1)
         assert(res.outliers.toSeq == BruteForce.outliers(s.space, r2, k2).toSeq, s"r=$r2 k=$k2")
       }
     }
@@ -59,22 +60,22 @@ class GraphDODSpec extends SparkSpec {
     test(s"${gc.name}: accounting — candidates = falsePositives + verified outliers") {
       val s = TestSpaces.scenarios().head
       val g = graphFor(s, gc)
-      val res = GraphDOD.detectLocal(s.space, g, s.r, s.k, gc.pivotHop, gc.shortcut)
+      val res = GraphDOD.detect(spark, s.space, g, s.r, s.k, gc.pivotHop, gc.shortcut, partitions = 1)
       val verifiedOutliers = res.outliers.length - res.directOutliers
       assert(res.candidates == res.falsePositives + verifiedOutliers)
       if (!gc.shortcut) assert(res.directOutliers == 0)
     }
   }
 
-  test("Spark detect equals detectLocal on every scenario (MRPG)") {
-    for (s <- TestSpaces.scenarios()) {
+  for (s <- TestSpaces.scenarios()) {
+    test(s"${s.name}: detect at partitions = 1 equals detect at the default fan-out (MRPG)") {
       val (g, _) = MRPG.build(s.space, 10, runner, seed = 6, maxIters = 4)
-      val local = GraphDOD.detectLocal(s.space, g, s.r, s.k)
-      val dist = GraphDOD.detect(spark, s.space, g, s.r, s.k)
-      assert(dist.outliers.toSeq == local.outliers.toSeq, s.name)
-      assert(dist.candidates == local.candidates, s.name)
-      assert(dist.falsePositives == local.falsePositives, s.name)
-      assert(dist.directOutliers == local.directOutliers, s.name)
+      val inline = GraphDOD.detect(spark, s.space, g, s.r, s.k, partitions = 1)
+      val fanned = GraphDOD.detect(spark, s.space, g, s.r, s.k)
+      assert(fanned.outliers.toSeq == inline.outliers.toSeq)
+      assert(fanned.candidates == inline.candidates)
+      assert(fanned.falsePositives == inline.falsePositives)
+      assert(fanned.directOutliers == inline.directOutliers)
     }
   }
 
@@ -99,8 +100,8 @@ class GraphDODSpec extends SparkSpec {
     val s = TestSpaces.scenarios().head
     val (g, _) = MRPG.build(s.space, 10, runner, seed = 9, maxIters = 4)
     val tree = VPTree.build(s.space, 16, seed = 3)
-    val a = GraphDOD.detectLocal(s.space, g, s.r, s.k, counter = LinearScanCounter())
-    val b = GraphDOD.detectLocal(s.space, g, s.r, s.k, counter = VPTreeCounter(tree))
+    val a = GraphDOD.detect(spark, s.space, g, s.r, s.k, counter = LinearScanCounter(), partitions = 1)
+    val b = GraphDOD.detect(spark, s.space, g, s.r, s.k, counter = VPTreeCounter(tree), partitions = 1)
     assert(a.outliers.toSeq == b.outliers.toSeq)
     assert(a.falsePositives == b.falsePositives)
   }
@@ -109,7 +110,7 @@ class GraphDODSpec extends SparkSpec {
     val s = TestSpaces.scenarios()(2)
     val (g, _) = MRPG.build(s.space, 8, runner, seed = 10, maxIters = 4)
     for (k <- Seq(1, s.space.n - 1)) {
-      val res = GraphDOD.detectLocal(s.space, g, s.r, k)
+      val res = GraphDOD.detect(spark, s.space, g, s.r, k, partitions = 1)
       assert(res.outliers.toSeq == BruteForce.outliers(s.space, s.r, k).toSeq, s"k=$k")
     }
   }
@@ -117,16 +118,16 @@ class GraphDODSpec extends SparkSpec {
   test("r=0 marks everything an outlier; huge r marks nothing (MRPG)") {
     val s = TestSpaces.scenarios().head
     val (g, _) = MRPG.build(s.space, 8, runner, seed = 11, maxIters = 4)
-    val all = GraphDOD.detectLocal(s.space, g, 0.0, 2)
+    val all = GraphDOD.detect(spark, s.space, g, 0.0, 2, partitions = 1)
     assert(all.outliers.length == s.space.n)
-    val none = GraphDOD.detectLocal(s.space, g, 1e9, 2)
+    val none = GraphDOD.detect(spark, s.space, g, 1e9, 2, partitions = 1)
     assert(none.outliers.isEmpty)
   }
 
   test("empty-adjacency graph still yields exact results (all candidates verified)") {
     val s = TestSpaces.scenarios().head
     val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))
-    val res = GraphDOD.detectLocal(s.space, g, s.r, s.k, usePivotHop = false, useExactShortcut = false)
+    val res = GraphDOD.detect(spark, s.space, g, s.r, s.k, usePivotHop = false, useExactShortcut = false, partitions = 1)
     assert(res.outliers.toSeq == BruteForce.outliers(s.space, s.r, s.k).toSeq)
     assert(res.candidates == s.space.n) // nothing gets filtered
   }
@@ -134,14 +135,14 @@ class GraphDODSpec extends SparkSpec {
   test("a better graph filters more: MRPG candidates <= empty-graph candidates") {
     val s = TestSpaces.scenarios().head
     val (g, _) = MRPG.build(s.space, 10, runner, seed = 12, maxIters = 4)
-    val res = GraphDOD.detectLocal(s.space, g, s.r, s.k)
+    val res = GraphDOD.detect(spark, s.space, g, s.r, s.k, partitions = 1)
     assert(res.candidates + res.directOutliers < s.space.n)
   }
 
   test("filtering time and verification time are reported non-negative") {
     val s = TestSpaces.scenarios().head
     val (g, _) = MRPG.build(s.space, 10, runner, seed = 13, maxIters = 4)
-    val res = GraphDOD.detectLocal(s.space, g, s.r, s.k)
+    val res = GraphDOD.detect(spark, s.space, g, s.r, s.k, partitions = 1)
     assert(res.filterMs >= 0 && res.verifyMs >= 0)
     assert(res.totalMs == res.filterMs + res.verifyMs)
   }
@@ -153,7 +154,7 @@ class GraphDODSpec extends SparkSpec {
       val (g, _) = MRPG.build(space, 6, runner, seed = i, maxIters = 3)
       val r = 10.0 + rng.nextDouble() * 40.0
       val k = 1 + rng.nextInt(8)
-      val res = GraphDOD.detectLocal(space, g, r, k)
+      val res = GraphDOD.detect(spark, space, g, r, k, partitions = 1)
       assert(res.outliers.toSeq == BruteForce.outliers(space, r, k).toSeq, s"draw $i r=$r k=$k")
     }
   }

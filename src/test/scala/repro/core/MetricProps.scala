@@ -74,6 +74,6 @@ object NNListProps extends Properties("NNList") {
 
   property("rejectsDuplicates") = Prop.forAll(Gen.chooseNum(1, 8)) { cap =>
     val l = new NNList(cap)
-    l.insert(1, 5.0) && !l.insert(1, 7.0) && l.size == 1
+    l.insert(1, 5.0) == 0 && l.insert(1, 7.0) < 0 && l.size == 1
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.TaskContext
 import repro.SparkSpec
 
 /** Range fan-out correctness: local and Spark runners agree, chunking covers
@@ -41,5 +42,15 @@ class ParRunnerSpec extends SparkSpec {
   test("zero-length range returns no chunks") {
     assert(new LocalRunner(4).runWithData(0, ())((_, s, e) => (s, e)).isEmpty)
     assert(new SparkRunner(spark, 4).runWithData(0, ())((_, s, e) => (s, e)).isEmpty)
+  }
+
+  test("SparkRunner returns chunk results in chunk order") {
+    val got = new SparkRunner(spark, 4).runWithData(1000, ())((_, s, e) => (s, e))
+    assert(got == Seq((0, 250), (250, 500), (500, 750), (750, 1000)))
+  }
+
+  test("SparkRunner runs each chunk in its own partition") {
+    val parts = new SparkRunner(spark, 4).runWithData(1000, ())((_, _, _) => TaskContext.getPartitionId())
+    assert(parts == Seq(0, 1, 2, 3))
   }
 }

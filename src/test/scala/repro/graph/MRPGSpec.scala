@@ -1,11 +1,10 @@
 package repro.graph
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestSpaces
-import repro.core.{BruteForce, LocalRunner, VectorMetric}
+import repro.{SparkSpec, TestSpaces}
+import repro.core.{BruteForce, CountingSpace, LocalRunner, SparkRunner, VectorMetric}
 
 /** The full MRPG pipeline: the three §5 properties, connectivity, stats. */
-class MRPGSpec extends AnyFunSuite {
+class MRPGSpec extends SparkSpec {
 
   private val runner = new LocalRunner(4)
   private lazy val space = TestSpaces.clustered(600, 6, VectorMetric.L2, seed = 51, outlierFrac = 0.03)
@@ -96,16 +95,16 @@ class MRPGSpec extends AnyFunSuite {
   test("MRPG works on string spaces end to end") {
     val ss = TestSpaces.strings(300, seed = 53)
     val (g, _) = MRPG.build(ss, 6, runner, seed = 10, maxIters = 3)
-    val res = repro.core.GraphDOD.detectLocal(ss, g, 4.0, 6)
+    val res = repro.core.GraphDOD.detect(spark, ss, g, 4.0, 6, partitions = 1)
     assert(res.outliers.toSeq == BruteForce.outliers(ss, 4.0, 6).toSeq)
   }
 
   test("MRPG filtering beats KGraph filtering (fewer false positives), clustered data") {
     val kg = KGraphBuilder.build(space, 8, runner, seed = 5, maxIters = 5)
     val r = 8.0; val k = 8
-    val mrpgRes = repro.core.GraphDOD.detectLocal(space, graph, r, k)
-    val kgRes = repro.core.GraphDOD.detectLocal(space, kg, r, k,
-      usePivotHop = false, useExactShortcut = false)
+    val mrpgRes = repro.core.GraphDOD.detect(spark, space, graph, r, k, partitions = 1)
+    val kgRes = repro.core.GraphDOD.detect(spark, space, kg, r, k,
+      usePivotHop = false, useExactShortcut = false, partitions = 1)
     assert(mrpgRes.falsePositives <= kgRes.falsePositives,
       s"MRPG fp=${mrpgRes.falsePositives} vs KGraph fp=${kgRes.falsePositives}")
   }
@@ -114,8 +113,28 @@ class MRPGSpec extends AnyFunSuite {
     for (n <- Seq(5, 12, 40)) {
       val s = TestSpaces.uniform(n, 3, VectorMetric.L2, seed = 54 + n)
       val (g, _) = MRPG.build(s, 4, runner, seed = 11, maxIters = 2)
-      val res = repro.core.GraphDOD.detectLocal(s, g, 30.0, 2)
+      val res = repro.core.GraphDOD.detect(spark, s, g, 30.0, 2, partitions = 1)
       assert(res.outliers.toSeq == BruteForce.outliers(s, 30.0, 2).toSeq, s"n=$n")
+    }
+  }
+
+  test("LocalRunner and SparkRunner build identical MRPGs (order included) with equal work") {
+    for (n <- Seq(300, 1000)) {
+      val base = TestSpaces.clustered(n, 6, VectorMetric.L2, seed = 57, outlierFrac = 0.03)
+      def buildVia(r: repro.core.ParRunner) = {
+        val cs = new CountingSpace(base)
+        val (g, st) = MRPG.build(cs, 8, r, seed = 5, maxIters = 5)
+        (g, st, cs.evaluations)
+      }
+      val (lg, lst, lEvals) = buildVia(new LocalRunner(4))
+      val (sg, sst, sEvals) = buildVia(new SparkRunner(spark, 4))
+      assert(lg.adj.map(_.toSeq).toSeq == sg.adj.map(_.toSeq).toSeq, s"adj n=$n")
+      assert(lg.isPivot.toSeq == sg.isPivot.toSeq, s"pivots n=$n")
+      assert(lg.exactK == sg.exactK)
+      assert(lg.exactLists.map(Option(_).map(_.toSeq)).toSeq ==
+        sg.exactLists.map(Option(_).map(_.toSeq)).toSeq, s"exact lists n=$n")
+      assert(lst.iterations == sst.iterations, s"iterations n=$n")
+      assert(lEvals == sEvals, s"distance evaluations n=$n")
     }
   }
 }

@@ -1,12 +1,11 @@
 package repro.graph
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestSpaces
+import repro.{SparkSpec, TestSpaces}
 import repro.core.{BruteForce, GreedyCounting, LocalRunner, VectorMetric}
 import scala.collection.mutable
 
 /** Unit tests for the individual MRPG construction steps (§5.2–§5.4). */
-class MRPGStepsSpec extends AnyFunSuite {
+class MRPGStepsSpec extends SparkSpec {
 
   private val runner = new LocalRunner(4)
 
@@ -142,7 +141,7 @@ class MRPGStepsSpec extends AnyFunSuite {
   test("RemoveLinks keeps detection exact on a full pipeline graph") {
     val space = TestSpaces.clustered(300, 5, VectorMetric.L2, seed = 37, outlierFrac = 0.04)
     val (g, _) = MRPG.build(space, 8, runner, seed = 4, maxIters = 4)
-    val res = repro.core.GraphDOD.detectLocal(space, g, 8.0, 8)
+    val res = repro.core.GraphDOD.detect(spark, space, g, 8.0, 8, partitions = 1)
     assert(res.outliers.toSeq == BruteForce.outliers(space, 8.0, 8).toSeq)
   }
 }
