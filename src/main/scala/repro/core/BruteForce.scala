@@ -34,18 +34,32 @@ object BruteForce {
   }
 
   /** Exact K nearest neighbors of `p` (excluding itself), ascending by
-    * distance; ties broken by id for determinism.
+    * distance; ties broken by id for determinism. One bounded sorted
+    * insertion per candidate: ids arrive ascending, so an entry moves up only
+    * past strictly larger distances (`java.lang.Double.compare`, the order
+    * of sorting `(distance, id)` pairs).
     */
   def knn(space: MetricSpace, p: Int, k: Int): Array[Int] = {
     val n = space.n
-    val ids = new Array[Int](n - 1)
-    val ds = new Array[Double](n - 1)
-    var i = 0; var j = 0
+    val cap = math.max(0, math.min(k, n - 1))
+    val ids = new Array[Int](cap)
+    val ds = new Array[Double](cap)
+    var size = 0
+    var i = 0
     while (i < n) {
-      if (i != p) { ids(j) = i; ds(j) = space.dist(p, i); j += 1 }
+      if (i != p) {
+        val d = space.dist(p, i)
+        if (size < cap || (cap > 0 && java.lang.Double.compare(d, ds(cap - 1)) < 0)) {
+          if (size < cap) size += 1
+          var pos = size - 1
+          while (pos > 0 && java.lang.Double.compare(ds(pos - 1), d) > 0) {
+            ids(pos) = ids(pos - 1); ds(pos) = ds(pos - 1); pos -= 1
+          }
+          ids(pos) = i; ds(pos) = d
+        }
+      }
       i += 1
     }
-    val order = ids.indices.sortBy(t => (ds(t), ids(t)))
-    order.take(k).map(ids(_)).toArray
+    ids
   }
 }

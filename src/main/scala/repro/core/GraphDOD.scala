@@ -95,6 +95,8 @@ object GraphDOD {
       counter: ExactCounter = LinearScanCounter(),
       partitions: Int = 0,
   ): DODResult = {
+    require(java.lang.Double.isFinite(r) && r >= 0, s"r must be finite and >= 0, got $r")
+    require(k >= 1, s"k must be >= 1, got $k")
     val runner = SparkRunner(spark, partitions)
 
     val t0 = System.nanoTime()

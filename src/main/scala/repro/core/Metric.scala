@@ -60,9 +60,17 @@ object VectorMetric {
     def dist(a: Array[Double], b: Array[Double]): Double = {
       var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
       while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-      val denom = math.sqrt(na) * math.sqrt(nb)
-      if (denom == 0.0) { if (na == nb) 0.0 else 1.0 }
-      else math.acos(math.max(-1.0, math.min(1.0, dot / denom))) / math.Pi
+      fromDot(dot, math.sqrt(na), math.sqrt(nb))
+    }
+
+    /** The angular distance of two vectors from their dot product and norms:
+      * the one kernel behind [[dist]] and [[VectorSpace]]. A zero vector is
+      * at 0 from another zero vector and at 1 from anything else.
+      */
+    private[core] def fromDot(dot: Double, normA: Double, normB: Double): Double = {
+      val denom = normA * normB
+      if (denom == 0.0) { if (normA == normB) 0.0 else 1.0 }
+      else Acos(math.max(-1.0, math.min(1.0, dot / denom))) / math.Pi
     }
   }
 
@@ -75,12 +83,16 @@ object VectorMetric {
   }
 }
 
-/** Vectors under a Minkowski or angular metric. Norms are precomputed for the
-  * angular case so `dist` stays one pass over the coordinates.
+/** Vectors under a Minkowski or angular metric. Every coordinate must be
+  * finite. Norms are precomputed for the angular case so `dist` stays one
+  * pass over the coordinates.
   */
 final class VectorSpace(val points: Array[Array[Double]], val metric: VectorMetric)
     extends MetricSpace {
   require(points.nonEmpty, "empty space")
+  // a NaN distance fails every `<= r` test, so the object would silently
+  // count as having no neighbors
+  require(points.forall(_.forall(java.lang.Double.isFinite)), "non-finite coordinate")
   val n: Int = points.length
   val dim: Int = points(0).length
 
@@ -97,9 +109,7 @@ final class VectorSpace(val points: Array[Array[Double]], val metric: VectorMetr
       val a = points(i); val b = points(j)
       var dot = 0.0; var t = 0
       while (t < a.length) { dot += a(t) * b(t); t += 1 }
-      val denom = norms(i) * norms(j)
-      if (denom == 0.0) { if (norms(i) == norms(j)) 0.0 else 1.0 }
-      else math.acos(math.max(-1.0, math.min(1.0, dot / denom))) / math.Pi
+      VectorMetric.Angular.fromDot(dot, norms(i), norms(j))
     } else metric.dist(points(i), points(j))
   }
 

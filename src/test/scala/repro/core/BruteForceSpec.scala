@@ -51,6 +51,13 @@ class BruteForceSpec extends AnyFunSuite {
       val others = (0 until space.n).filterNot(i => i == p || got.contains(i))
       assert(others.forall(i => space.dist(p, i) >= maxSel - 1e-9))
     }
+    // integer coordinates, every point three times: distances tie en masse
+    val ties = new VectorSpace(
+      Array.tabulate(120)(i => Array((i % 40 % 7).toDouble, (i % 40 / 7).toDouble)), VectorMetric.L1)
+    for (s <- Seq(space, ties); p <- 0 until s.n; k <- Seq(1, 5, s.n - 1, s.n + 3)) {
+      val ref = (0 until s.n).filter(_ != p).sortBy(t => (s.dist(p, t), t)).take(k)
+      assert(BruteForce.knn(s, p, k).toSeq == ref, s"p=$p k=$k")
+    }
   }
 
   test("knn with k >= n-1 returns everything") {

@@ -124,6 +124,14 @@ class GraphDODSpec extends SparkSpec {
     assert(none.outliers.isEmpty)
   }
 
+  test("detect rejects a NaN, negative or infinite r and k = 0") {
+    val s = TestSpaces.scenarios().head
+    val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))
+    for (r <- Seq(Double.NaN, -1.0, Double.PositiveInfinity, Double.NegativeInfinity))
+      assertThrows[IllegalArgumentException](GraphDOD.detect(spark, s.space, g, r, s.k, partitions = 1))
+    assertThrows[IllegalArgumentException](GraphDOD.detect(spark, s.space, g, s.r, 0, partitions = 1))
+  }
+
   test("empty-adjacency graph still yields exact results (all candidates verified)") {
     val s = TestSpaces.scenarios().head
     val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))

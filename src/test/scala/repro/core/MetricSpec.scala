@@ -117,6 +117,14 @@ class MetricSpec extends AnyFunSuite {
     assert(vs.dataBytes == 10L * 4 * 8)
   }
 
+  test("VectorSpace rejects NaN and infinite coordinates under every metric") {
+    for (m <- metrics; bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val pts = Array.fill(5, 3)(1.0)
+      pts(3)(1) = bad
+      assertThrows[IllegalArgumentException](new VectorSpace(pts, m))
+    }
+  }
+
   // ---- edit distance -----------------------------------------------------
   test("EditDistance: known values") {
     assert(EditDistance("kitten", "sitting") == 3)

@@ -1,7 +1,7 @@
 package repro.graph
 
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, CountingSpace, LocalRunner, SparkRunner, VectorMetric}
+import repro.core.{BruteForce, CountingSpace, LocalRunner, MetricSpace, SparkRunner, VectorMetric, VectorSpace}
 
 /** The full MRPG pipeline: the three §5 properties, connectivity, stats. */
 class MRPGSpec extends SparkSpec {
@@ -136,5 +136,43 @@ class MRPGSpec extends SparkSpec {
       assert(lst.iterations == sst.iterations, s"iterations n=$n")
       assert(lEvals == sEvals, s"distance evaluations n=$n")
     }
+  }
+
+  /** Reference angular distance: `VectorSpace`'s dot product, norms and
+    * clamp, with the JDK's `StrictMath.acos` in place of the port.
+    */
+  private final class StrictAcosAngular(vs: VectorSpace) extends MetricSpace {
+    val n: Int = vs.n
+    private val norms = vs.points.map { p =>
+      var s = 0.0; var i = 0
+      while (i < p.length) { s += p(i) * p(i); i += 1 }
+      math.sqrt(s)
+    }
+    def dist(i: Int, j: Int): Double = {
+      val a = vs.points(i); val b = vs.points(j)
+      var dot = 0.0; var t = 0
+      while (t < a.length) { dot += a(t) * b(t); t += 1 }
+      val denom = norms(i) * norms(j)
+      if (denom == 0.0) { if (norms(i) == norms(j)) 0.0 else 1.0 }
+      else StrictMath.acos(math.max(-1.0, math.min(1.0, dot / denom))) / math.Pi
+    }
+    def dataBytes: Long = vs.dataBytes
+  }
+
+  test("angular MRPG is the same with the acos port as with StrictMath.acos") {
+    val base = TestSpaces.angular(1000, 12, seed = 58)
+    def buildOver(s: MetricSpace) = {
+      val cs = new CountingSpace(s)
+      val (g, _) = MRPG.build(cs, 8, new LocalRunner(4), seed = 5)
+      (g, cs.evaluations)
+    }
+    val (pg, pEvals) = buildOver(base)
+    val (sg, sEvals) = buildOver(new StrictAcosAngular(base))
+    assert(pg.adj.map(_.toSeq).toSeq == sg.adj.map(_.toSeq).toSeq, "adj")
+    assert(pg.isPivot.toSeq == sg.isPivot.toSeq, "pivots")
+    assert(pg.exactK == sg.exactK)
+    assert(pg.exactLists.map(Option(_).map(_.toSeq)).toSeq ==
+      sg.exactLists.map(Option(_).map(_.toSeq)).toSeq, "exact lists")
+    assert(pEvals == sEvals, "distance evaluations")
   }
 }
