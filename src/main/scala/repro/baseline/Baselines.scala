@@ -16,6 +16,7 @@ final case class BaselineResult(outliers: Array[Int], totalMs: Long, indexBytes:
   */
 object NestedLoop {
   def run(spark: SparkSession, space: MetricSpace, r: Double, k: Int, partitions: Int = 0): BaselineResult = {
+    BruteForce.requireQuery(r, k)
     val t0 = System.nanoTime()
     val out = SparkRunner(spark, partitions).runWithData(space.n, space) { (sp, s, e) =>
       (s until e).filter(p => BruteForce.countNeighbors(sp, p, r, k) < k).toArray
@@ -42,6 +43,7 @@ object SNIF {
       seed: Long = 11L,
       partitions: Int = 0,
   ): BaselineResult = {
+    BruteForce.requireQuery(r, k)
     val t0 = System.nanoTime()
     val n = space.n
     val rng = new Random(seed)
@@ -112,6 +114,7 @@ object Dolphin {
       seed: Long = 13L,
       partitions: Int = 0,
   ): BaselineResult = {
+    BruteForce.requireQuery(r, k)
     val t0 = System.nanoTime()
     val n = space.n
     val rng = new Random(seed)
@@ -159,6 +162,7 @@ object VPTreeDOD {
       tree: VPTree,
       partitions: Int = 0,
   ): BaselineResult = {
+    BruteForce.requireQuery(r, k)
     val t0 = System.nanoTime()
     val out = SparkRunner(spark, partitions).runWithData(space.n, (space, tree)) {
       case ((sp, tr), s, e) => (s until e).filter(p => tr.rangeCount(sp, p, r, k) < k).toArray

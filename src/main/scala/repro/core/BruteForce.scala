@@ -22,8 +22,17 @@ object BruteForce {
   def exactCount(space: MetricSpace, p: Int, r: Double): Int =
     countNeighbors(space, p, r, Int.MaxValue)
 
+  /** Rejects an `(r, k)` no DOD algorithm can answer: a NaN, negative or
+    * infinite `r`, or `k < 1`. Every DOD entry point calls it.
+    */
+  def requireQuery(r: Double, k: Int): Unit = {
+    require(java.lang.Double.isFinite(r) && r >= 0, s"r must be finite and >= 0, got $r")
+    require(k >= 1, s"k must be >= 1, got $k")
+  }
+
   /** All distance-based outliers (objects with fewer than `k` neighbors). */
   def outliers(space: MetricSpace, r: Double, k: Int): Array[Int] = {
+    requireQuery(r, k)
     val out = Array.newBuilder[Int]
     var p = 0
     while (p < space.n) {

@@ -34,8 +34,12 @@ final case class VPTreeCounter(tree: VPTree) extends ExactCounter {
   *                       exact-list direct decisions)
   * @param falsePositives inliers among the candidates (Table 7's `f`)
   * @param directOutliers outliers decided by the exact-list shortcut (§5.5)
-  * @param filterMs       filtering phase wall-clock [ms]
-  * @param verifyMs       verification phase wall-clock [ms]
+  * @param filterMs       filtering phase [ms]: the call's wall time times
+  *                       the share of its tasks' time spent filtering
+  * @param verifyMs       verification phase [ms]: the call's wall time times
+  *                       the share of its tasks' time spent verifying (0
+  *                       when there are no candidates); the two add up to
+  *                       the wall time
   */
 final case class DODResult(
     outliers: Array[Int],
@@ -79,10 +83,27 @@ object GraphDOD {
     }
   }
 
-  /** Algorithm 1 with the paper's multi-threading (§4): each phase is one
-    * [[SparkRunner]] fan-out over contiguous id chunks — filtering over
-    * `[0, n)`, then verification over the candidates. `partitions = 1` runs
-    * both phases inline on the driver; `0` uses Spark's default parallelism.
+  /** One chunk's share of a detection: its outliers in ascending order,
+    * its candidate and direct-outlier counts, and the ns it spent in each
+    * phase.
+    */
+  private final case class ChunkResult(
+      outliers: Array[Int],
+      candidates: Int,
+      directOutliers: Int,
+      filterNs: Long,
+      verifyNs: Long,
+  )
+
+  /** Algorithm 1 with the paper's multi-threading (§4): one [[SparkRunner]]
+    * fan-out over contiguous id chunks of `[0, n)`. A chunk filters each of
+    * its objects and verifies a candidate right away, because one object's
+    * verification depends on no other object. `partitions = 1` runs inline
+    * on the driver; `0` uses Spark's default parallelism.
+    *
+    * Each task times its verifications and counts the rest of its time as
+    * filtering. The timers return with the task results, so the
+    * `filterMs`/`verifyMs` split of [[DODResult]] holds under any master.
     */
   def detect(
       spark: SparkSession,
@@ -95,42 +116,50 @@ object GraphDOD {
       counter: ExactCounter = LinearScanCounter(),
       partitions: Int = 0,
   ): DODResult = {
-    require(java.lang.Double.isFinite(r) && r >= 0, s"r must be finite and >= 0, got $r")
-    require(k >= 1, s"k must be >= 1, got $k")
-    val runner = SparkRunner(spark, partitions)
-
+    BruteForce.requireQuery(r, k)
     val t0 = System.nanoTime()
-    // per chunk: (direct outliers, candidates)
-    val filtered = runner.runWithData(space.n, (space, g)) { case ((sp, gg), s, e) =>
-      val direct = Array.newBuilder[Int]
-      val cand = Array.newBuilder[Int]
-      var p = s
-      while (p < e) {
-        filterVerdict(sp, gg, p, r, k, usePivotHop, useExactShortcut) match {
-          case Candidate => cand += p
-          case DirectOutlier => direct += p
-          case _ => ()
+    val chunks = SparkRunner(spark, partitions).runWithData(space.n, (space, g, counter)) {
+      case ((sp, gg, ec), s, e) =>
+        val c0 = System.nanoTime()
+        val out = Array.newBuilder[Int]
+        var candidates = 0
+        var direct = 0
+        var verifyNs = 0L
+        var p = s
+        while (p < e) {
+          filterVerdict(sp, gg, p, r, k, usePivotHop, useExactShortcut) match {
+            case Candidate =>
+              candidates += 1
+              val v0 = System.nanoTime()
+              if (ec.count(sp, p, r, k) < k) out += p
+              verifyNs += System.nanoTime() - v0
+            case DirectOutlier =>
+              direct += 1
+              out += p
+            case _ => ()
+          }
+          p += 1
         }
-        p += 1
-      }
-      (direct.result(), cand.result())
+        ChunkResult(out.result(), candidates, direct, System.nanoTime() - c0 - verifyNs, verifyNs)
     }
-    val directOut = filtered.flatMap(_._1).toArray
-    val candidateIds = filtered.flatMap(_._2).toArray
-    val t1 = System.nanoTime()
+    val wallMs = (System.nanoTime() - t0) / 1000000L
 
-    val verified = runner.runWithData(candidateIds.length, (space, counter, candidateIds)) {
-      case ((sp, ec, ids), s, e) => ids.slice(s, e).filter(p => ec.count(sp, p, r, k) < k)
-    }.flatten
-    val t2 = System.nanoTime()
-
+    // chunks come back in id order, so their outliers concatenate sorted
+    val outliers = chunks.flatMap(_.outliers).toArray
+    val candidates = chunks.map(_.candidates).sum
+    val direct = chunks.map(_.directOutliers).sum
+    val filterNs = chunks.map(_.filterNs).sum
+    val verifyNs = chunks.map(_.verifyNs).sum
+    val verifyMs =
+      if (verifyNs == 0L) 0L
+      else math.round(wallMs * (verifyNs.toDouble / (filterNs + verifyNs)))
     DODResult(
-      (directOut ++ verified).sorted,
-      candidates = candidateIds.length,
-      falsePositives = candidateIds.length - verified.length,
-      directOutliers = directOut.length,
-      filterMs = (t1 - t0) / 1000000L,
-      verifyMs = (t2 - t1) / 1000000L,
+      outliers,
+      candidates = candidates,
+      falsePositives = candidates - (outliers.length - direct),
+      directOutliers = direct,
+      filterMs = wallMs - verifyMs,
+      verifyMs = verifyMs,
     )
   }
 

@@ -122,6 +122,8 @@ final class VectorSpace(val points: Array[Array[Double]], val metric: VectorMetr
   */
 final class StringSpace(val words: Array[String]) extends MetricSpace {
   require(words.nonEmpty, "empty space")
+  // a null would pass here and throw on its first distance, inside a task
+  require(!words.contains(null), "null word")
   val n: Int = words.length
 
   def dist(i: Int, j: Int): Double = EditDistance(words(i), words(j)).toDouble
@@ -129,13 +131,87 @@ final class StringSpace(val words: Array[String]) extends MetricSpace {
   def dataBytes: Long = words.map(_.length.toLong * 2L + 16L).sum
 }
 
-/** Standard two-row dynamic-programming Levenshtein distance. */
+/** Unit-cost Levenshtein distance over UTF-16 chars.
+  *
+  * When the shorter string has at most 64 chars it is the pattern of
+  * Myers' bit-vector algorithm (Myers, JACM 1999) in Hyyrö's form for
+  * global edit distance: one column of the DP per char of the longer
+  * string, kept as vertical +1/-1 delta bit-vectors, with a horizontal
+  * carry-in of 1 because row 0 of the DP grows by 1 per column. Longer
+  * strings take the standard two-row DP. Both give the same integer.
+  */
 object EditDistance {
+
+  /** Per-thread match masks for chars below 128: bit `i` of `peq(c)` is set
+    * when pattern char `i` is `c`. All zero between calls.
+    */
+  private val peqTable = ThreadLocal.withInitial[Array[Long]](() => new Array[Long](128))
+
   def apply(a: String, b: String): Int = {
     if (a == b) return 0
-    val (s, t) = if (a.length <= b.length) (a, b) else (b, a)
+    val swap = a.length > b.length
+    val s = if (swap) b else a
+    val t = if (swap) a else b
+    if (s.isEmpty) t.length
+    else if (s.length <= 64) bitParallel(s, t)
+    else twoRow(s, t)
+  }
+
+  /** Myers/Hyyrö over pattern `s` (1 to 64 chars) and text `t`. */
+  private def bitParallel(s: String, t: String): Int = {
+    val m = s.length
+    val peq = peqTable.get()
+    var i = 0
+    while (i < m) {
+      val c = s.charAt(i)
+      if (c < 128) peq(c) |= 1L << i
+      i += 1
+    }
+    val last = 1L << (m - 1)
+    // bits above m - 1 hold junk; carries and shifts only move upward, so
+    // it never reaches the bits that are read
+    var pv = -1L
+    var mv = 0L
+    var score = m
+    var j = 0
+    while (j < t.length) {
+      val tc = t.charAt(j)
+      val eq = if (tc < 128) peq(tc) else matchMask(s, tc)
+      val xv = eq | mv
+      val xh = (((eq & pv) + pv) ^ pv) | eq
+      var ph = mv | ~(xh | pv)
+      var mh = pv & xh
+      if ((ph & last) != 0) score += 1
+      else if ((mh & last) != 0) score -= 1
+      ph = (ph << 1) | 1L
+      mh = mh << 1
+      pv = mh | ~(xv | ph)
+      mv = ph & xv
+      j += 1
+    }
+    i = 0
+    while (i < m) {
+      val c = s.charAt(i)
+      if (c < 128) peq(c) = 0L
+      i += 1
+    }
+    score
+  }
+
+  /** The match mask of a char the table does not hold. */
+  private def matchMask(s: String, c: Char): Long = {
+    var mask = 0L
+    var i = 0
+    while (i < s.length) {
+      if (s.charAt(i) == c) mask |= 1L << i
+      i += 1
+    }
+    mask
+  }
+
+  /** Two-row DP over `s` (the shorter, non-empty) and `t`. */
+  private def twoRow(s: String, t: String): Int = {
     val m = s.length; val nn = t.length
-    if (m == 0) return nn
     var prev = new Array[Int](m + 1)
     var cur = new Array[Int](m + 1)
     var i = 0

@@ -1,7 +1,8 @@
 package repro.baseline
 
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, VPTree}
+import repro.core.{BruteForce, GraphDOD, VPTree}
+import repro.graph.ProximityGraph
 
 /** All four scan-based baselines must be exact on every scenario. */
 class BaselinesSpec extends SparkSpec {
@@ -63,6 +64,26 @@ class BaselinesSpec extends SparkSpec {
     assert(Dolphin.run(spark, s.space, s.r, s.k).indexBytes > 0L)
     val tree = VPTree.build(s.space, 16, seed = 4)
     assert(VPTreeDOD.run(spark, s.space, s.r, s.k, tree).indexBytes == tree.sizeBytes)
+  }
+
+  test("every baseline and BruteForce.outliers reject a bad r or k as GraphDOD.detect does") {
+    val s = TestSpaces.scenarios().head
+    val tree = VPTree.build(s.space, 16, seed = 5)
+    val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))
+    val bad = Seq(Double.NaN, -1.0, Double.PositiveInfinity, Double.NegativeInfinity).map(r => (r, s.k)) :+
+      ((s.r, 0))
+    for ((r, k) <- bad) {
+      val expected = intercept[IllegalArgumentException](GraphDOD.detect(spark, s.space, g, r, k)).getMessage
+      val runs: Seq[(String, () => Any)] = Seq(
+        "Nested-loop" -> (() => NestedLoop.run(spark, s.space, r, k)),
+        "SNIF" -> (() => SNIF.run(spark, s.space, r, k)),
+        "DOLPHIN" -> (() => Dolphin.run(spark, s.space, r, k)),
+        "VP-tree DOD" -> (() => VPTreeDOD.run(spark, s.space, r, k, tree)),
+        "BruteForce.outliers" -> (() => BruteForce.outliers(s.space, r, k)),
+      )
+      for ((name, run) <- runs)
+        assert(intercept[IllegalArgumentException](run()).getMessage == expected, s"$name r=$r k=$k")
+    }
   }
 
   test("results are invariant to the partition count") {

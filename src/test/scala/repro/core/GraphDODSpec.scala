@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestSpaces}
 import repro.core.{VectorMetric => VM}
 import repro.graph.{KGraphBuilder, MRPG, NSW, ProximityGraph}
@@ -85,6 +88,44 @@ class GraphDODSpec extends SparkSpec {
     val results = Seq(1, 3, 16).map(p =>
       GraphDOD.detect(spark, s.space, g, s.r, s.k, partitions = p).outliers.toSeq)
     assert(results.distinct.size == 1)
+  }
+
+  test("detect runs one Spark job per call") {
+    // KGraph has no exact-list shortcut, so its outliers are candidates
+    val s = TestSpaces.scenarios().head
+    val gc = graphCases(1)
+    val g = graphFor(s, gc)
+    val sc = spark.sparkContext
+    // jobs carry the local properties of the thread that submits them
+    val tag = "repro.test.graphdod"
+    val detectJobs = new AtomicInteger
+    val sentinelSeen = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(tag))) match {
+          case Some("detect") => detectJobs.incrementAndGet()
+          case Some("sentinel") => sentinelSeen.countDown()
+          case _ => ()
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(tag, "detect")
+      val res = GraphDOD.detect(spark, s.space, g, s.r, s.k, gc.pivotHop, gc.shortcut, partitions = 4)
+      // the listener bus delivers events in order: once the sentinel job's
+      // start arrives, every job detect started has been seen
+      sc.setLocalProperty(tag, "sentinel")
+      sc.parallelize(Seq(1), 1).count()
+      assert(sentinelSeen.await(60, TimeUnit.SECONDS), "sentinel job not seen")
+      // two or more candidates: verifying them apart from filtering would
+      // take a job of its own
+      assert(res.candidates >= 2, s"candidates=${res.candidates}")
+      assert(res.outliers.toSeq == BruteForce.outliers(s.space, s.r, s.k).toSeq)
+      assert(detectJobs.get == 1)
+    } finally {
+      sc.setLocalProperty(tag, null)
+      sc.removeSparkListener(listener)
+    }
   }
 
   test("detectDF returns the outlier ids as a DataFrame") {

@@ -42,6 +42,44 @@ object MetricProps extends Properties("Metric") {
     EditDistance(a, b) == slowEdit(a, b)
   }
 
+  // pattern lengths on both sides of the kernel's 64-char limit; chars
+  // outside the match table (>= 128, surrogate halves among them) repeat so
+  // that they also match
+  private val kernelChar: Gen[Char] = Gen.frequency(
+    6 -> Gen.choose('a', 'c'),
+    1 -> Gen.oneOf('\u007f', '\u0080', '\u00e9', '\u0100', '\uffff'),
+    1 -> Gen.oneOf('\ud83d', '\ude00', '\udbff', '\udc00'),
+  )
+
+  private val kernelString: Gen[String] = for {
+    len <- Gen.frequency(1 -> Gen.chooseNum(0, 70), 1 -> Gen.oneOf(0, 63, 64, 65))
+    cs <- Gen.listOfN(len, kernelChar)
+  } yield cs.mkString
+
+  /** `a` after up to five random substitutions, insertions and deletions. */
+  private def edited(a: String): Gen[String] =
+    Gen.listOfN(5, Gen.zip(Gen.choose(0, 3), Gen.choose(0, 1000), kernelChar)).map { ops =>
+      ops.foldLeft(a) { case (w, (op, at, c)) =>
+        val i = if (w.isEmpty) 0 else at % w.length
+        op match {
+          case 0 if w.nonEmpty => w.updated(i, c)
+          case 1 => w.substring(0, i) + c + w.substring(i)
+          case 2 if w.nonEmpty => w.substring(0, i) + w.substring(i + 1)
+          case _ => w
+        }
+      }
+    }
+
+  private val kernelPair: Gen[(String, String)] = for {
+    a <- kernelString
+    b <- Gen.oneOf(kernelString, edited(a))
+  } yield (a, b)
+
+  property("EditDistance.matchesTwoRowDP") = Prop.forAll(kernelPair) { case (a, b) =>
+    val d = DpEditDistance(a, b)
+    EditDistance(a, b) == d && EditDistance(b, a) == d
+  }
+
   property("EditDistance.triangle") = Prop.forAll(word, word, word) { (a, b, c) =>
     EditDistance(a, c) <= EditDistance(a, b) + EditDistance(b, c)
   }

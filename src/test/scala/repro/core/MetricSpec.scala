@@ -1,12 +1,12 @@
 package repro.core
 
 import org.scalactic.Tolerance._
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestSpaces
+import repro.{SparkSpec, TestSpaces}
+import repro.data.Datasets
 import scala.util.Random
 
 /** Metric axioms and known values for all five distance functions. */
-class MetricSpec extends AnyFunSuite {
+class MetricSpec extends SparkSpec {
 
   private val metrics = Seq(
     VectorMetric.L1, VectorMetric.L2, VectorMetric.L4, VectorMetric.Angular)
@@ -163,6 +163,20 @@ class MetricSpec extends AnyFunSuite {
       assert(d <= math.max(a.length, b.length))
       assert(d >= math.abs(a.length - b.length))
     }
+  }
+
+  test("EditDistance equals the two-row DP on all pairs of Words (scale 0.2)") {
+    val words = Datasets.words.space(spark, 0.2) match {
+      case ss: StringSpace => ss.words
+      case other => fail(s"unexpected space $other")
+    }
+    assert(words.length >= 800)
+    val wrong = for (a <- words; b <- words if EditDistance(a, b) != DpEditDistance(a, b)) yield (a, b)
+    assert(wrong.isEmpty, wrong.take(5).mkString(", "))
+  }
+
+  test("StringSpace rejects a null word") {
+    assertThrows[IllegalArgumentException](new StringSpace(Array("ab", null, "cd")))
   }
 
   test("StringSpace.dist equals EditDistance") {

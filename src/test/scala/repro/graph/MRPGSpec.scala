@@ -1,7 +1,8 @@
 package repro.graph
 
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, CountingSpace, LocalRunner, MetricSpace, SparkRunner, VectorMetric, VectorSpace}
+import repro.core.{BruteForce, CountingSpace, DpEditDistance, LocalRunner, MetricSpace, SparkRunner, StringSpace,
+  VectorMetric, VectorSpace}
 
 /** The full MRPG pipeline: the three §5 properties, connectivity, stats. */
 class MRPGSpec extends SparkSpec {
@@ -174,5 +175,29 @@ class MRPGSpec extends SparkSpec {
     assert(pg.exactLists.map(Option(_).map(_.toSeq)).toSeq ==
       sg.exactLists.map(Option(_).map(_.toSeq)).toSeq, "exact lists")
     assert(pEvals == sEvals, "distance evaluations")
+  }
+
+  /** Reference string space: the two-row DP in place of the kernel. */
+  private final class DpStringSpace(ss: StringSpace) extends MetricSpace {
+    val n: Int = ss.n
+    def dist(i: Int, j: Int): Double = DpEditDistance(ss.words(i), ss.words(j)).toDouble
+    def dataBytes: Long = ss.dataBytes
+  }
+
+  test("string MRPG is the same with the bit-parallel kernel as with the two-row DP") {
+    val base = TestSpaces.strings(1000, seed = 59)
+    def buildOver(s: MetricSpace) = {
+      val cs = new CountingSpace(s)
+      val (g, _) = MRPG.build(cs, 8, new LocalRunner(4), seed = 5)
+      (g, cs.evaluations)
+    }
+    val (kg, kEvals) = buildOver(base)
+    val (dg, dEvals) = buildOver(new DpStringSpace(base))
+    assert(kg.adj.map(_.toSeq).toSeq == dg.adj.map(_.toSeq).toSeq, "adj")
+    assert(kg.isPivot.toSeq == dg.isPivot.toSeq, "pivots")
+    assert(kg.exactK == dg.exactK)
+    assert(kg.exactLists.map(Option(_).map(_.toSeq)).toSeq ==
+      dg.exactLists.map(Option(_).map(_.toSeq)).toSeq, "exact lists")
+    assert(kEvals == dEvals, "distance evaluations")
   }
 }
